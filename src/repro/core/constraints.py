@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.utils.fingerprint import stable_hash
+from repro.utils.fingerprint import memoized_hash
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class SearchConstraints:
         produce different compiled programs; the serving plan cache includes
         this in its key.
         """
-        return stable_hash(("search-constraints", self))
+        return memoized_hash(self, "search-constraints")
 
 
 #: Default constraints used by the end-to-end experiments.

@@ -16,10 +16,13 @@ Pareto frontier, so the search groups them and promotes whole groups at once —
 this keeps the reconciliation pass fast even for models with hundreds of
 operators, mirroring the paper's observation that the policy explores only
 ``sum(num idle plans)`` promising combinations instead of their product.
+Each step then picks every group's active plan with one bisection into a
+prefix-argmin table priced once per (group, idle plan), never a rescan.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -68,12 +71,37 @@ class ModelSchedule:
 
 
 @dataclass
+class _ActiveTable:
+    """Active-plan choices of one (group, idle plan) pair at every memory budget.
+
+    ``setup_bytes[k]`` and ``setup_time[k]`` price the idle → ``frontier[k]``
+    transition; ``best[k]`` is the index minimising ``time_est + setup time``
+    over ``frontier[:k + 1]`` (the earliest index wins ties, ``-1`` while no
+    cost is finite).  Frontiers are memory-sorted, so the plans fitting a
+    budget form a prefix and one bisection finds the best of them.
+    """
+
+    setup_bytes: list[int]
+    setup_time: list[float]
+    best: list[int]
+
+
+@dataclass
 class _OpGroup:
     """Operators that share one Pareto frontier (identical signature)."""
 
     names: list[str]
     frontier: list[OperatorPlan]
     idle_index: int = 0
+    memories: list[int] = field(init=False, repr=False)
+    """``memory_bytes`` of every frontier plan (non-decreasing)."""
+    tables: dict[int, _ActiveTable] = field(default_factory=dict, repr=False)
+    """Lazily built :class:`_ActiveTable` per idle index."""
+
+    def __post_init__(self) -> None:
+        self.memories = [plan.memory_bytes for plan in self.frontier]
+        if any(a > b for a, b in zip(self.memories, self.memories[1:])):
+            raise ValueError(f"frontier of {self.names[0]!r} is not sorted by memory_bytes")
 
     @property
     def count(self) -> int:
@@ -101,8 +129,8 @@ class InterOpScheduler:
         """Choose idle/active plans for every operator of a model.
 
         ``pareto_plans`` maps operator names to their Pareto frontier sorted
-        by increasing memory footprint.  Raises
-        :class:`~repro.hw.memory.OutOfChipMemoryError` if even the most
+        by increasing memory footprint (``ValueError`` if empty or unsorted).
+        Raises :class:`~repro.hw.memory.OutOfChipMemoryError` if even the most
         memory-efficient configuration cannot fit on the chip.
         """
         groups = self._group_operators(pareto_plans)
@@ -169,18 +197,51 @@ class InterOpScheduler:
         """
         return self.chip.sram_per_core - idle_total + idle_plan.idle_bytes
 
-    def _select_active(
+    def _table(self, group: _OpGroup, idle_index: int) -> _ActiveTable:
+        """The :class:`_ActiveTable` of ``group`` idling at ``idle_index``."""
+        table = group.tables.get(idle_index)
+        if table is None:
+            idle_plan = group.frontier[idle_index]
+            setup_bytes = [plan.setup_bytes_from(idle_plan) for plan in group.frontier]
+            setup_time = [self.cost_model.setup_time(nbytes) for nbytes in setup_bytes]
+            best: list[int] = []
+            best_index, best_cost = -1, float("inf")
+            for index, (plan, seconds) in enumerate(zip(group.frontier, setup_time)):
+                cost = plan.time_est + seconds
+                if cost < best_cost:
+                    best_index, best_cost = index, cost
+                best.append(best_index)
+            table = group.tables[idle_index] = _ActiveTable(setup_bytes, setup_time, best)
+        return table
+
+    def _select_active(self, group: _OpGroup, available: int) -> int | None:
+        """Frontier index of the best-fitting active plan for ``group``.
+
+        Among the plans whose active footprint fits in ``available`` bytes,
+        pick the one minimising setup-plus-execution time: a slightly slower
+        plan whose weight layout matches the idle plan can beat the raw
+        fastest plan once the idle→active transition is accounted for.  Falls
+        back to the idle plan itself, or ``None`` when nothing fits.
+        """
+        fitting = bisect_right(group.memories, available)
+        best = self._table(group, group.idle_index).best[fitting - 1] if fitting else -1
+        if best >= 0:
+            return best
+        if group.idle_plan.memory_bytes <= available:
+            return group.idle_index
+        return None
+
+    def _select_active_reference(
         self,
         frontier: Sequence[OperatorPlan],
         idle_plan: OperatorPlan,
         available: int,
     ) -> OperatorPlan | None:
-        """Best-fitting active plan for one operator.
+        """Reference for :meth:`_select_active`: re-prices every plan.
 
-        Among the plans whose active footprint fits in ``available`` bytes,
-        pick the one minimising setup-plus-execution time: a slightly slower
-        plan whose weight layout matches the idle plan can beat the raw
-        fastest plan once the idle→active transition is accounted for.
+        Scans all of ``frontier`` against ``idle_plan`` on each call.  Only the
+        differential tests call it, to check the table lookup picks the same
+        plan.
         """
         best: OperatorPlan | None = None
         best_cost = float("inf")
@@ -198,14 +259,12 @@ class InterOpScheduler:
     def _estimate_total_time(self, groups: Sequence[_OpGroup], idle_total: int) -> float:
         total = 0.0
         for group in groups:
-            idle_plan = group.idle_plan
-            available = self._available_active(idle_total, idle_plan)
-            active = self._select_active(group.frontier, idle_plan, available)
+            available = self._available_active(idle_total, group.idle_plan)
+            active = self._select_active(group, available)
             if active is None:
                 return float("inf")
-            setup_bytes = active.setup_bytes_from(idle_plan)
-            per_op = self.cost_model.setup_time(setup_bytes) + active.time_est
-            total += per_op * group.count
+            setup_time = self._table(group, group.idle_index).setup_time[active]
+            total += (setup_time + group.frontier[active].time_est) * group.count
         return total
 
     def _best_promotion(
@@ -223,11 +282,11 @@ class InterOpScheduler:
             if idle_total + max(delta_mem, 0) > capacity:
                 continue
             available = self._available_active(idle_total, current_idle)
-            active = self._select_active(group.frontier, current_idle, available)
+            active = self._select_active(group, available)
             if active is None:
                 continue
-            current_setup = self.cost_model.setup_time(active.setup_bytes_from(current_idle))
-            next_setup = self.cost_model.setup_time(active.setup_bytes_from(next_idle))
+            current_setup = self._table(group, group.idle_index).setup_time[active]
+            next_setup = self._table(group, group.idle_index + 1).setup_time[active]
             saved = (current_setup - next_setup) * group.count
             if delta_mem <= 0:
                 if saved >= 0:
@@ -249,13 +308,15 @@ class InterOpScheduler:
         for group in groups:
             idle_plan = group.idle_plan
             available = self._available_active(idle_total, idle_plan)
-            active = self._select_active(group.frontier, idle_plan, available)
-            if active is None:
+            index = self._select_active(group, available)
+            if index is None:
                 raise OutOfChipMemoryError(
                     idle_total, self.chip.sram_per_core, group.names[0]
                 )
-            setup_bytes = active.setup_bytes_from(idle_plan)
-            setup_time = self.cost_model.setup_time(setup_bytes)
+            active = group.frontier[index]
+            table = self._table(group, group.idle_index)
+            setup_bytes = table.setup_bytes[index]
+            setup_time = table.setup_time[index]
             for name in group.names:
                 per_op[name] = OperatorSchedule(
                     op_name=name,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hw.spec import ChipSpec
-from repro.utils.fingerprint import stable_hash
+from repro.utils.fingerprint import memoized_hash
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class InterconnectConfig:
 
     def fingerprint(self) -> str:
         """Stable content hash of the link configuration."""
-        return stable_hash(("interconnect", self))
+        return memoized_hash(self, "interconnect")
 
 
 class InterconnectModel:

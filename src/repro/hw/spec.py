@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.utils.fingerprint import stable_hash
+from repro.utils.fingerprint import memoized_hash
 
 
 KiB = 1024
@@ -102,7 +102,7 @@ class ChipSpec:
         the display name, which disambiguates presets that happen to share
         numbers).  Used by the serving plan cache as part of its key.
         """
-        return stable_hash(("chip-spec", self))
+        return memoized_hash(self, "chip-spec")
 
 
 @dataclass(frozen=True)

@@ -13,19 +13,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-import networkx as nx
-
 from repro.ir.operator import Operator
 from repro.ir.tensor import TensorRole
 from repro.utils.fingerprint import stable_hash
 
 
-@dataclass
+@dataclass(eq=False)
 class OperatorGraph:
-    """Directed acyclic graph of :class:`~repro.ir.operator.Operator` nodes."""
+    """Directed acyclic graph of :class:`~repro.ir.operator.Operator` nodes.
+
+    Adjacency lives in insertion-ordered dicts used as ordered sets; producers
+    must exist before their consumers, so the graph is acyclic by construction.
+    Graphs compare by identity; :meth:`fingerprint` compares content.
+    """
 
     name: str = "model"
-    _graph: nx.DiGraph = field(default_factory=nx.DiGraph, repr=False)
+    _ops: dict[str, Operator] = field(default_factory=dict, repr=False)
+    _preds: dict[str, dict[str, None]] = field(default_factory=dict, repr=False)
+    _succs: dict[str, dict[str, None]] = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -34,21 +39,24 @@ class OperatorGraph:
         """Add ``operator`` to the graph, depending on the named producers.
 
         ``inputs`` lists the operators whose outputs feed this one; they must
-        already be in the graph.  Returns the operator for chaining.
+        already be in the graph (a repeated producer adds one edge).  Returns
+        the operator for chaining.
         """
-        if operator.name in self._graph:
+        if operator.name in self._ops:
             raise ValueError(f"duplicate operator name {operator.name!r}")
-        self._graph.add_node(operator.name, op=operator)
+        producers: dict[str, None] = {}
         for producer in inputs:
             producer_name = producer.name if isinstance(producer, Operator) else producer
-            if producer_name not in self._graph:
+            if producer_name not in self._ops:
                 raise ValueError(
                     f"operator {operator.name!r} depends on unknown producer {producer_name!r}"
                 )
-            self._graph.add_edge(producer_name, operator.name)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_node(operator.name)
-            raise ValueError(f"adding operator {operator.name!r} would create a cycle")
+            producers[producer_name] = None
+        self._ops[operator.name] = operator
+        self._preds[operator.name] = producers
+        self._succs[operator.name] = {}
+        for producer_name in producers:
+            self._succs[producer_name][operator.name] = None
         return operator
 
     def extend(self, operators: Iterable[tuple[Operator, Sequence[str]]]) -> None:
@@ -60,38 +68,51 @@ class OperatorGraph:
     # Queries
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._ops)
 
     def __iter__(self) -> Iterator[Operator]:
         return iter(self.operators)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._ops
 
     @property
     def operators(self) -> list[Operator]:
-        """Operators in topological (execution) order."""
-        return [self._graph.nodes[name]["op"] for name in nx.topological_sort(self._graph)]
+        """Operators in topological (execution) order.
+
+        Kahn's algorithm by generations, scanning consumers in edge-insertion
+        order: the same order ``networkx.topological_sort`` gives.
+        """
+        pending = {name: len(preds) for name, preds in self._preds.items() if preds}
+        generation = [name for name, preds in self._preds.items() if not preds]
+        order: list[Operator] = []
+        while generation:
+            order.extend(self._ops[name] for name in generation)
+            ready: list[str] = []
+            for name in generation:
+                for consumer in self._succs[name]:
+                    pending[consumer] -= 1
+                    if not pending[consumer]:
+                        ready.append(consumer)
+            generation = ready
+        return order
 
     def get(self, name: str) -> Operator:
         """Look an operator up by name."""
-        if name not in self._graph:
-            raise KeyError(name)
-        return self._graph.nodes[name]["op"]
+        return self._ops[name]
 
     def predecessors(self, name: str) -> list[Operator]:
         """Producers feeding the named operator."""
-        return [self._graph.nodes[p]["op"] for p in self._graph.predecessors(name)]
+        return [self._ops[p] for p in self._preds[name]]
 
     def successors(self, name: str) -> list[Operator]:
         """Consumers of the named operator's output."""
-        return [self._graph.nodes[s]["op"] for s in self._graph.successors(name)]
+        return [self._ops[s] for s in self._succs[name]]
 
     def edges(self) -> list[tuple[Operator, Operator]]:
         """Producer/consumer pairs."""
         return [
-            (self._graph.nodes[u]["op"], self._graph.nodes[v]["op"])
-            for u, v in self._graph.edges()
+            (self._ops[u], self._ops[v]) for u, succs in self._succs.items() for v in succs
         ]
 
     # ------------------------------------------------------------------ #
@@ -108,10 +129,8 @@ class OperatorGraph:
         deliberately excluded: the plan cache should share compiled programs
         between structurally identical graphs.
         """
-        nodes = sorted(
-            (name, self._graph.nodes[name]["op"].signature()) for name in self._graph
-        )
-        edges = sorted(self._graph.edges())
+        nodes = sorted((name, op.signature()) for name, op in self._ops.items())
+        edges = sorted((u, v) for u, succs in self._succs.items() for v in succs)
         return stable_hash(("operator-graph", tuple(nodes), tuple(edges)))
 
     # ------------------------------------------------------------------ #

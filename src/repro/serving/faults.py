@@ -95,8 +95,12 @@ class FaultEvent:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.time < 0:
-            raise ValueError(f"fault time must be >= 0, got {self.time}")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ValueError(f"fault time must be finite and >= 0, got {self.time}")
+        if not math.isfinite(self.factor):
+            raise ValueError(f"link factor must be finite, got {self.factor}")
+        if math.isnan(self.until):
+            raise ValueError("until must not be NaN")
         if self.kind in (FAULT_CHIP_DEATH, FAULT_RESTART) and self.chip < 0:
             raise ValueError(f"{self.kind} needs a chip index >= 0, got {self.chip}")
         if self.kind == FAULT_LINK_DEGRADATION:
@@ -115,8 +119,8 @@ class FaultEvent:
             object.__setattr__(self, "chips", tuple(sorted(set(self.chips))))
             if any(chip < 0 for chip in self.chips):
                 raise ValueError(f"chip indices must be >= 0, got {self.chips}")
-        if self.warmup_delay < 0:
-            raise ValueError(f"warmup_delay must be >= 0, got {self.warmup_delay}")
+        if not (math.isfinite(self.warmup_delay) and self.warmup_delay >= 0):
+            raise ValueError(f"warmup_delay must be finite and >= 0, got {self.warmup_delay}")
 
 
 def chip_death(time: float, chip: int) -> FaultEvent:

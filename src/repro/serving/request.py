@@ -216,8 +216,8 @@ class DecodeRequest:
     """Traffic source this request belongs to (empty = single-tenant run)."""
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError(f"arrival_time must be >= 0, got {self.arrival_time}")
+        if not (math.isfinite(self.arrival_time) and self.arrival_time >= 0):
+            raise ValueError(f"arrival_time must be finite and >= 0, got {self.arrival_time}")
         if self.prompt_tokens < 1:
             raise ValueError(f"prompt_tokens must be >= 1, got {self.prompt_tokens}")
         if self.max_new_tokens < 1:
@@ -227,6 +227,8 @@ class DecodeRequest:
                 f"slo_class must be {SLO_INTERACTIVE!r} or {SLO_BEST_EFFORT!r}, "
                 f"got {self.slo_class!r}"
             )
+        if self.deadline is not None and math.isnan(self.deadline):
+            raise ValueError("deadline must not be NaN")
         if self.deadline is not None and self.deadline < self.arrival_time:
             raise ValueError(
                 f"deadline {self.deadline} precedes arrival {self.arrival_time}"
@@ -243,7 +245,7 @@ DECODE_OK = "ok"
 DECODE_SHED = "shed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletedDecode:
     """A decode request together with how the engine served (or shed) it."""
 

@@ -55,3 +55,16 @@ def stable_hash(obj: object, *, length: int = 16) -> str:
     """Hex SHA-256 digest (truncated to ``length`` chars) of ``obj``'s canonical form."""
     digest = hashlib.sha256(canonicalize(obj).encode("utf-8")).hexdigest()
     return digest[:length]
+
+
+def memoized_hash(obj: object, tag: str) -> str:
+    """``stable_hash((tag, obj))``, computed once per frozen dataclass instance.
+
+    The memo sits in the instance ``__dict__``, outside the dataclass fields,
+    so ``==``, ``hash``, ``repr`` and :func:`canonicalize` never see it.
+    """
+    cached = obj.__dict__.get("_fingerprint")
+    if cached is None:
+        cached = stable_hash((tag, obj))
+        object.__setattr__(obj, "_fingerprint", cached)
+    return cached

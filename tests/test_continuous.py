@@ -107,6 +107,19 @@ class TestDecodeRequest:
         with pytest.raises(ValueError):
             request(0, 5.0, deadline=4.0)
 
+    @pytest.mark.parametrize("arrival", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_arrival_time(self, arrival):
+        with pytest.raises(ValueError, match="arrival_time"):
+            DecodeRequest(1, "m", arrival, 1, 1)
+
+    def test_rejects_nan_deadline(self):
+        with pytest.raises(ValueError, match="deadline"):
+            DecodeRequest(1, "m", 0.0, 1, 1, deadline=math.nan)
+        # The boundary case of the original report: both fields NaN.
+        with pytest.raises(ValueError):
+            DecodeRequest(1, "m", math.nan, 1, 1, deadline=math.nan)
+        assert DecodeRequest(1, "m", 0.0, 1, 1, deadline=math.inf).deadline == math.inf
+
     def test_interactive_flag(self):
         assert request(0, 0.0).interactive
         assert not request(0, 0.0, slo_class=SLO_BEST_EFFORT).interactive

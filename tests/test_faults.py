@@ -109,6 +109,27 @@ class TestFaultSchedule:
         with pytest.raises(ValueError, match="warmup"):
             restart(1.0, 0, warmup_delay=-0.1)
 
+    @pytest.mark.parametrize("time", [math.nan, math.inf])
+    def test_rejects_non_finite_time(self, time):
+        with pytest.raises(ValueError, match="fault time"):
+            FaultEvent(time=time, kind=FAULT_CHIP_DEATH, chip=0)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf])
+    def test_rejects_non_finite_factor(self, factor):
+        with pytest.raises(ValueError, match="factor"):
+            link_degradation(0.0, 1.0, factor)
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_rejects_non_finite_warmup_delay(self, delay):
+        with pytest.raises(ValueError, match="warmup"):
+            restart(1.0, 0, warmup_delay=delay)
+
+    def test_rejects_nan_until_but_keeps_open_windows(self):
+        with pytest.raises(ValueError, match="until"):
+            FaultEvent(time=0.0, kind=FAULT_LINK_DEGRADATION, factor=2.0, until=math.nan)
+        event = FaultEvent(time=0.0, kind=FAULT_LINK_DEGRADATION, factor=2.0)
+        assert event.until == math.inf
+
     def test_schedule_sorts_and_iterates(self):
         schedule = FaultSchedule.of(
             [restart(5.0, 0), chip_death(1.0, 0), chip_death(1.0, 1)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.constraints import SearchConstraints
-from repro.hw.spec import ChipSpec, KiB
+from repro.hw.interconnect import InterconnectConfig
+from repro.hw.spec import IPU_MK2, ChipSpec, KiB
 from repro.ir import OperatorGraph, elementwise, matmul
 from repro.ir.dtype import DType
 from repro.utils import canonicalize, stable_hash
@@ -147,6 +149,48 @@ def test_constraints_fingerprint_sensitive_to_fields():
     assert base.fingerprint() == SearchConstraints().fingerprint()
     assert base.fingerprint() != base.relaxed(max_plans=77).fingerprint()
     assert base.fingerprint() != base.relaxed(padding_threshold=0.5).fingerprint()
+
+
+@pytest.mark.parametrize(
+    ("make", "tag", "change"),
+    [
+        (lambda: dataclasses.replace(IPU_MK2), "chip-spec", {"num_cores": 736}),
+        (SearchConstraints, "search-constraints", {"max_plans": 77}),
+        (lambda: InterconnectConfig(bandwidth=64e9), "interconnect", {"latency": 2e-6}),
+    ],
+    ids=["chip-spec", "search-constraints", "interconnect"],
+)
+class TestFingerprintMemo:
+    """Spec fingerprints are computed once per frozen instance; the memo is
+    invisible to everything but ``fingerprint()``."""
+
+    def test_memo_equals_fresh_hash(self, make, tag, change):
+        spec = make()
+        assert spec.fingerprint() == stable_hash((tag, spec))
+        assert spec.fingerprint() == spec.fingerprint() == make().fingerprint()
+
+    def test_replace_gets_a_new_fingerprint(self, make, tag, change):
+        spec = make()
+        spec.fingerprint()
+        changed = dataclasses.replace(spec, **change)
+        assert changed.fingerprint() != spec.fingerprint()
+        assert changed.fingerprint() == stable_hash((tag, changed))
+
+    def test_pickle_round_trips(self, make, tag, change):
+        spec = make()
+        spec.fingerprint()
+        for original in (spec, make()):
+            restored = pickle.loads(pickle.dumps(original))
+            assert restored == original
+            assert restored.fingerprint() == original.fingerprint()
+
+    def test_memo_is_invisible(self, make, tag, change):
+        memoized, fresh = make(), make()
+        memoized.fingerprint()
+        assert memoized == fresh
+        assert hash(memoized) == hash(fresh)
+        assert repr(memoized) == repr(fresh)
+        assert canonicalize(memoized) == canonicalize(fresh)
 
 
 # --------------------------------------------------------------------------- #

@@ -44,8 +44,11 @@ class TestConstruction:
 
     def test_unknown_producer_rejected(self):
         graph = OperatorGraph()
+        a = graph.add(matmul("a", m=2, k=2, n=2))
         with pytest.raises(ValueError):
-            graph.add(matmul("x", m=2, k=2, n=2), ["missing"])
+            graph.add(matmul("x", m=2, k=2, n=2), [a, "missing"])
+        # A rejected operator leaves no node or edge behind.
+        assert "x" not in graph and len(graph) == 1 and graph.successors("a") == []
 
     def test_extend(self):
         graph = OperatorGraph()
